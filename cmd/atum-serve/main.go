@@ -21,6 +21,7 @@ import (
 	"flag"
 	"log"
 	"net/http"
+	"time"
 
 	"atum/internal/serve"
 )
@@ -40,5 +41,12 @@ func main() {
 		Budget:          *budget,
 	})
 	log.Printf("atum-serve: listening on %s (API %s)", *addr, "v1")
-	log.Fatal(http.ListenAndServe(*addr, srv))
+	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
+	log.Fatal(hs.ListenAndServe())
 }
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so idle or trickling connections cannot pile up.
+// Bodies and responses are left unbounded: uploads and live segment
+// streams legitimately run long.
+const readHeaderTimeout = 10 * time.Second

@@ -24,6 +24,7 @@
 package atum
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"atum/internal/micro"
@@ -100,9 +101,11 @@ type Collector struct {
 	m    *micro.Machine
 	opts Options
 
-	base uint32 // physical base of the trace buffer
+	buf  []byte // live view of the trace buffer's RAM, bounds proven at install
 	size uint32 // bytes
 	ptr  uint32 // next write offset
+
+	sampling bool // time sampling configured (SampleOn and SampleOff set)
 
 	wmBytes uint32 // watermark write-pointer threshold (0 = disabled)
 	wmArmed bool
@@ -128,13 +131,19 @@ type Collector struct {
 	segCyclesMark  uint64
 
 	met captureMetrics
+	// pending counts records per kind not yet published to met: the hot
+	// path bumps a plain array, and PublishMetrics moves it into the
+	// shared counters at every extraction boundary.
+	pending [trace.NumKinds]uint64
 }
 
 // captureMetrics are the collector's live counters in the obs registry:
 // what the capture has recorded (total and per kind), what it has lost,
 // and how often the watermark and buffer-full interrupts fired. They
 // shadow the exported statistics fields so a monitoring goroutine can
-// watch a capture without touching the (unsynchronised) collector.
+// watch a capture without touching the (unsynchronised) collector. The
+// record counters are published in batches (see PublishMetrics), so a
+// poller sees them advance a buffer at a time.
 type captureMetrics struct {
 	records   *obs.Counter
 	dropped   *obs.Counter
@@ -199,7 +208,13 @@ func Install(m *micro.Machine, opts Options) (*Collector, error) {
 	if size < trace.RecordBytes {
 		return nil, fmt.Errorf("atum: reserved region too small (%d bytes)", size)
 	}
-	c := &Collector{m: m, opts: opts, base: base, size: size, recording: true, installed: true,
+	// The trace store writes through one view of the buffer; taking it
+	// here proves the bounds once, so the per-record path cannot fail.
+	buf, err := m.Mem.Bytes(base, size)
+	if err != nil {
+		return nil, fmt.Errorf("atum: trace buffer: %w", err)
+	}
+	c := &Collector{m: m, opts: opts, buf: buf, size: size, recording: true, installed: true,
 		met: newCaptureMetrics(opts.Metrics)}
 	if opts.Watermark != 0 {
 		// NaN compares false against every bound, so test for the valid
@@ -218,6 +233,7 @@ func Install(m *micro.Machine, opts Options) (*Collector, error) {
 		c.wmArmed = true
 	}
 	if opts.SampleOn > 0 && opts.SampleOff > 0 {
+		c.sampling = true
 		c.sampleOn = true
 		c.phaseLeft = opts.SampleOn
 	}
@@ -242,7 +258,7 @@ func (c *Collector) record(a micro.Access) {
 		c.met.dropped.Inc()
 		return
 	}
-	if c.opts.SampleOn > 0 && c.opts.SampleOff > 0 {
+	if c.sampling {
 		if !c.sampleOn {
 			c.Dropped++
 			c.met.dropped.Inc()
@@ -261,27 +277,29 @@ func (c *Collector) record(a micro.Access) {
 	}
 	c.m.ChargeCycles(c.opts.CostPerRecord)
 	c.DilationCycles += uint64(c.opts.CostPerRecord)
-	rec := toRecord(a)
-	var b [trace.RecordBytes]byte
-	rec.Encode(b[:])
-	for i, by := range b {
-		// Direct physical store, bypassing translation — the microcode
-		// writes through the memory controller like the 8200 patches.
-		if err := c.m.Mem.Store8(c.base+c.ptr+uint32(i), by); err != nil {
-			// The reserved region is inside RAM by construction.
-			panic(fmt.Sprintf("atum: trace store failed: %v", err))
-		}
-	}
+	// micro.Event and trace.Kind share their numbering, so the event is
+	// the kind. One 8-byte store, bypassing translation — the microcode
+	// writes through the memory controller like the 8200 patches.
+	k := trace.Kind(a.Ev)
+	binary.LittleEndian.PutUint64(c.buf[c.ptr:], trace.Record{
+		Kind:  k,
+		Addr:  a.VA,
+		Width: a.Width,
+		PID:   a.PID,
+		User:  a.Mode == vax.ModeUser,
+		Phys:  a.Phys,
+		Extra: a.Extra,
+	}.Packed())
 	c.ptr += trace.RecordBytes
 	c.Recorded++
-	c.met.records.Inc()
-	c.met.kind[rec.Kind].Inc()
+	c.pending[k]++
 	// The watermark interrupt fires before the full check so a spill
 	// service draining at Watermark = 1.0 runs ahead of the pause/drop
 	// path and loses nothing.
 	if c.wmArmed && c.ptr >= c.wmBytes {
 		c.wmArmed = false
 		c.met.watermark.Inc()
+		c.PublishMetrics()
 		if c.opts.OnWatermark != nil {
 			c.opts.OnWatermark(c)
 		}
@@ -290,38 +308,30 @@ func (c *Collector) record(a micro.Access) {
 		c.Samples++
 		c.recording = false
 		c.met.fills.Inc()
+		c.PublishMetrics()
 		if c.opts.OnFull != nil {
 			c.opts.OnFull(c)
 		}
 	}
 }
 
-func toRecord(a micro.Access) trace.Record {
-	var k trace.Kind
-	switch a.Ev {
-	case micro.EvIFetch:
-		k = trace.KindIFetch
-	case micro.EvDRead:
-		k = trace.KindDRead
-	case micro.EvDWrite:
-		k = trace.KindDWrite
-	case micro.EvPTERead:
-		k = trace.KindPTERead
-	case micro.EvPTEWrite:
-		k = trace.KindPTEWrite
-	case micro.EvCtxSwitch:
-		k = trace.KindCtxSwitch
-	case micro.EvException:
-		k = trace.KindException
+// PublishMetrics moves the pending per-kind record counts into the obs
+// counters. The collector calls it at every extraction boundary —
+// watermark, buffer fill, ExtractSegment, Uninstall — so there
+// atum_capture_records_total and the per-kind sum both equal Recorded.
+// A caller on the capture goroutine (a debugger's status command) may
+// call it to bring the counters up to date between boundaries.
+func (c *Collector) PublishMetrics() {
+	var total uint64
+	for k, n := range c.pending {
+		if n != 0 {
+			c.met.kind[k].Add(n)
+			total += n
+			c.pending[k] = 0
+		}
 	}
-	return trace.Record{
-		Kind:  k,
-		Addr:  a.VA,
-		Width: a.Width,
-		PID:   a.PID,
-		User:  a.Mode == vax.ModeUser,
-		Phys:  a.Phys,
-		Extra: a.Extra,
+	if total != 0 {
+		c.met.records.Add(total)
 	}
 }
 
@@ -333,27 +343,25 @@ type SegmentStats struct {
 	DilationCycles uint64 // trace-store microcycles charged since then
 }
 
-// Extract parses the records accumulated so far, resets the buffer
-// pointer, and resumes recording. It models the paper's procedure of
-// freezing the machine, dumping the reserved region, and continuing.
+// Extract parses the records accumulated so far into a fresh slice,
+// resets the buffer pointer, and resumes recording. It models the
+// paper's procedure of freezing the machine, dumping the reserved
+// region, and continuing. The error is always nil: the buffer's bounds
+// are proven at install time.
 func (c *Collector) Extract() ([]trace.Record, error) {
-	recs, _, err := c.ExtractSegment()
-	return recs, err
+	recs, _ := c.ExtractSegment(nil)
+	return recs, nil
 }
 
 // ExtractSegment is Extract plus the per-segment accounting a spill
 // service stores alongside the records: drops and dilation cycles
-// accumulated since the previous extraction. It also re-arms the
-// watermark.
-func (c *Collector) ExtractSegment() ([]trace.Record, SegmentStats, error) {
-	raw, err := c.m.Mem.Bytes(c.base, c.ptr)
-	if err != nil {
-		return nil, SegmentStats{}, err
-	}
-	recs, err := trace.ParseBuffer(raw)
-	if err != nil {
-		return nil, SegmentStats{}, err
-	}
+// accumulated since the previous extraction. It appends the records to
+// dst, so a service that spills segment after segment reuses one
+// slice, and it re-arms the watermark.
+func (c *Collector) ExtractSegment(dst []trace.Record) ([]trace.Record, SegmentStats) {
+	c.PublishMetrics()
+	// The view is a record multiple long, so parsing cannot fail.
+	recs, _ := trace.ParseBuffer(dst, c.buf[:c.ptr])
 	st := SegmentStats{
 		Dropped:        c.Dropped - c.segDroppedMark,
 		DilationCycles: c.DilationCycles - c.segCyclesMark,
@@ -365,7 +373,7 @@ func (c *Collector) ExtractSegment() ([]trace.Record, SegmentStats, error) {
 	if c.wmBytes > 0 {
 		c.wmArmed = true
 	}
-	return recs, st, nil
+	return recs, st
 }
 
 // Pause suspends recording (references are counted as dropped).
@@ -394,6 +402,7 @@ func (c *Collector) Uninstall() {
 	}
 	c.installed = false
 	c.recording = false
+	c.PublishMetrics()
 	for _, rm := range c.removes {
 		rm()
 	}

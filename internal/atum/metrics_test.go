@@ -1,12 +1,14 @@
 package atum_test
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
 	"atum/internal/atum"
 	"atum/internal/obs"
+	"atum/internal/trace"
 )
 
 // TestCaptureMetricsMirrorStatistics: the collector's obs counters must
@@ -85,4 +87,58 @@ func TestMetricsOffMeasurementPath(t *testing.T) {
 	if d1 != r1*56 {
 		t.Errorf("dilation %d cycles != %d records x 56: something besides trace stores charged the clock", d1, r1)
 	}
+}
+
+// TestCaptureMetricsAtBoundaries: the hot path counts records in a
+// plain per-kind array that is published to the registry at the
+// watermark, at buffer fill and at Uninstall. At each of those points
+// atum_capture_records_total and the per-kind sum must equal Recorded —
+// checked before the callback drains anything, so the publish under
+// test is the interrupt's own, not the extraction's.
+func TestCaptureMetricsAtBoundaries(t *testing.T) {
+	reg := obs.NewRegistry()
+	check := func(where string, c *atum.Collector) {
+		t.Helper()
+		if got := reg.Counter("atum_capture_records_total").Value(); got != c.Recorded {
+			t.Errorf("%s: records metric %d, collector recorded %d", where, got, c.Recorded)
+		}
+		var perKind uint64
+		for k := trace.Kind(0); k < trace.NumKinds; k++ {
+			perKind += reg.Counter(fmt.Sprintf("atum_capture_records_kind_total{kind=%q}", k)).Value()
+		}
+		if perKind != c.Recorded {
+			t.Errorf("%s: per-kind metrics sum to %d, collector recorded %d", where, perKind, c.Recorded)
+		}
+	}
+	sys := buildSystem(t, helloSrc)
+	opts := atum.DefaultOptions()
+	opts.BufBytes = 4096
+	opts.Metrics = reg
+	opts.Watermark = 0.5
+	var fires, fills int
+	opts.OnWatermark = func(c *atum.Collector) {
+		fires++
+		check(fmt.Sprintf("watermark %d", fires), c)
+		// Drain only every other crossing, so the buffer also fills.
+		if fires%2 == 0 {
+			c.ExtractSegment(nil)
+		}
+	}
+	opts.OnFull = func(c *atum.Collector) {
+		fills++
+		check(fmt.Sprintf("fill %d", fills), c)
+		c.ExtractSegment(nil)
+	}
+	col, err := atum.Install(sys.M, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(50_000_000); err != nil {
+		t.Fatal(err)
+	}
+	col.Uninstall()
+	if fires < 2 || fills < 1 {
+		t.Fatalf("%d watermark crossings and %d fills: the capture is too short to test", fires, fills)
+	}
+	check("after Uninstall", col)
 }

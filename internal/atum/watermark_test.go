@@ -25,10 +25,7 @@ func TestWatermarkFires(t *testing.T) {
 		if !c.Recording() {
 			t.Error("collector not recording inside OnWatermark")
 		}
-		recs, _, err := c.ExtractSegment()
-		if err != nil {
-			t.Fatal(err)
-		}
+		recs, _ := c.ExtractSegment(nil)
 		segs = append(segs, recs)
 	}
 	opts.OnFull = func(c *atum.Collector) { fulls++ }
@@ -70,10 +67,7 @@ func TestWatermarkSpillMatchesMonolithic(t *testing.T) {
 		sys := buildSystem(t, helloSrc)
 		var out []trace.Record
 		opts.OnWatermark = func(c *atum.Collector) {
-			recs, _, err := c.ExtractSegment()
-			if err != nil {
-				t.Fatal(err)
-			}
+			recs, _ := c.ExtractSegment(nil)
 			out = append(out, recs...)
 		}
 		col, err := atum.Install(sys.M, opts)
@@ -83,10 +77,7 @@ func TestWatermarkSpillMatchesMonolithic(t *testing.T) {
 		if _, err := sys.Run(50_000_000); err != nil {
 			t.Fatal(err)
 		}
-		tail, _, err := col.ExtractSegment()
-		if err != nil {
-			t.Fatal(err)
-		}
+		tail, _ := col.ExtractSegment(nil)
 		return append(out, tail...), col
 	}
 
@@ -121,10 +112,7 @@ func TestExtractSegmentStats(t *testing.T) {
 	if _, err := sys.Run(300); err != nil {
 		t.Fatal(err)
 	}
-	recs, st, err := col.ExtractSegment()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs, st := col.ExtractSegment(nil)
 	if st.Dropped != 0 {
 		t.Errorf("segment 0 dropped=%d, want 0", st.Dropped)
 	}
@@ -141,10 +129,7 @@ func TestExtractSegmentStats(t *testing.T) {
 	if _, err := sys.Run(300); err != nil {
 		t.Fatal(err)
 	}
-	recs2, st2, err := col.ExtractSegment()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs2, st2 := col.ExtractSegment(nil)
 	if st2.Dropped == 0 {
 		t.Error("segment 1 shows no drops despite the pause")
 	}
@@ -156,10 +141,7 @@ func TestExtractSegmentStats(t *testing.T) {
 	}
 
 	// A third, immediate extraction is an empty segment with zero deltas.
-	recs3, st3, err := col.ExtractSegment()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs3, st3 := col.ExtractSegment(nil)
 	if len(recs3) != 0 || st3 != (atum.SegmentStats{}) {
 		t.Errorf("immediate re-extract = %d records, %+v; want empty", len(recs3), st3)
 	}

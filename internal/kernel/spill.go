@@ -141,6 +141,8 @@ type SpillService struct {
 	lost     atomic.Uint64 // records captured but never written (sink failure)
 	segments atomic.Uint32
 
+	recs []trace.Record // extraction scratch, reused across segments
+
 	mu      sync.Mutex
 	sinkErr error // guarded by mu
 	closed  bool  // guarded by mu
@@ -271,13 +273,8 @@ func (s *SpillService) spill(c *atum.Collector) {
 }
 
 func (s *SpillService) spillLocked(c *atum.Collector) {
-	recs, st, err := c.ExtractSegment()
-	if err != nil {
-		// Extraction reads simulated RAM; failure means the machine is
-		// torn down — treat it like a sink failure.
-		s.fail(c, err)
-		return
-	}
+	recs, st := c.ExtractSegment(s.recs[:0])
+	s.recs = recs
 	if err := s.SinkErr(); err != nil {
 		s.addLost(uint64(len(recs)))
 		s.fail(c, err)
@@ -290,6 +287,7 @@ func (s *SpillService) spillLocked(c *atum.Collector) {
 	}
 	start := time.Now()
 	var info trace.SegmentInfo
+	var err error
 	if s.seq != nil {
 		info, err = s.sw.WriteSegmentSeq(recs, st.Dropped, st.DilationCycles, s.cpu, s.seq.Next())
 	} else {

@@ -241,3 +241,52 @@ func TestSpillMetricsRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestSpillCaptureMetricsAtClose: the collector publishes its record
+// counters to the registry in batches, at extraction boundaries. Inside
+// every spill (observed through OnSegment) and after Close,
+// atum_capture_records_total and the per-kind counters' sum must both
+// equal Collector.Recorded exactly.
+func TestSpillCaptureMetricsAtClose(t *testing.T) {
+	reg := obs.NewRegistry()
+	sys := spillSystem(t)
+	var svc *kernel.SpillService
+	check := func(where string) {
+		t.Helper()
+		rec := svc.Collector().Recorded
+		if got := reg.Counter("atum_capture_records_total").Value(); got != rec {
+			t.Errorf("%s: records metric %d, collector recorded %d", where, got, rec)
+		}
+		var perKind uint64
+		for k := trace.Kind(0); k < trace.NumKinds; k++ {
+			perKind += reg.Counter(fmt.Sprintf("atum_capture_records_kind_total{kind=%q}", k)).Value()
+		}
+		if perKind != rec {
+			t.Errorf("%s: per-kind metrics sum to %d, collector recorded %d", where, perKind, rec)
+		}
+	}
+	spills := 0
+	svc, err := kernel.StartSpill(sys, new(bytes.Buffer), kernel.SpillConfig{
+		Options:      atum.DefaultOptions(),
+		SegmentBytes: 4 << 10,
+		Codec:        trace.CodecDelta,
+		Metrics:      reg,
+		OnSegment: func(trace.StreamSegment) {
+			spills++
+			check(fmt.Sprintf("spill %d", spills))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(50_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if spills < 3 {
+		t.Fatalf("only %d spills: the capture never crossed a watermark", spills)
+	}
+	check("after Close")
+}

@@ -138,7 +138,10 @@ func (p *Physical) LoadBytes(pa uint32, b []byte) error {
 	return nil
 }
 
-// Bytes returns a read-only view of n bytes at pa (extraction-tool use).
+// Bytes returns a live view of n bytes of RAM at pa: it aliases physical
+// memory, so loads see stores made through it and it sees later stores
+// to RAM. The ATUM collector takes its trace buffer's view once and
+// writes records through it; extraction reads through it.
 func (p *Physical) Bytes(pa, n uint32) ([]byte, error) {
 	if pa+n < pa || pa+n > uint32(len(p.ram)) {
 		return nil, &BoundsError{PA: pa, Size: int(n)}

@@ -125,3 +125,34 @@ func TestLoadBytesAndView(t *testing.T) {
 		t.Error("overflowing Bytes accepted")
 	}
 }
+
+// TestBytesViewIsLive: Bytes aliases RAM — the ATUM collector stores its
+// records through such a view — so writes through it are seen by loads,
+// stores are seen through it, and a view past the end of RAM (or one
+// whose end wraps) is refused rather than clipped.
+func TestBytesViewIsLive(t *testing.T) {
+	p := mustNew(t, 1<<16, 4<<10)
+	v, err := p.Bytes(p.ReservedBase(), p.ReservedSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v[8], v[9], v[10], v[11] = 0xEF, 0xBE, 0xAD, 0xDE
+	if got, _ := p.Load32(p.ReservedBase() + 8); got != 0xDEADBEEF {
+		t.Errorf("Load32 after a write through the view = %#x", got)
+	}
+	if err := p.Store32(p.ReservedBase()+16, 0x01020304); err != nil {
+		t.Fatal(err)
+	}
+	if v[16] != 4 || v[19] != 1 {
+		t.Errorf("view misses a Store32: % x", v[16:20])
+	}
+	if cap(v) != len(v) {
+		t.Errorf("view capacity %d exceeds its length %d: append would run into RAM past it", cap(v), len(v))
+	}
+	if _, err := p.Bytes(p.ReservedBase(), p.ReservedSize()+1); err == nil {
+		t.Error("view past the end of RAM accepted")
+	}
+	if _, err := p.Bytes(0xFFFFFFF0, 0x20); err == nil {
+		t.Error("wrapping view accepted")
+	}
+}

@@ -1,6 +1,8 @@
 package micro
 
 import (
+	"encoding/binary"
+
 	"atum/internal/mmu"
 	"atum/internal/vax"
 )
@@ -18,13 +20,11 @@ func (m *Machine) refillIBuf(va uint32) {
 	}
 	m.Cycles += uint64(m.Costs.IFetchRefill)
 	m.fire(Access{Ev: EvIFetch, VA: aligned, Width: 4, Mode: m.mode(), PID: m.CurPID})
-	for i := uint32(0); i < 4; i++ {
-		b, err := m.Mem.Load8(pa + i)
-		if err != nil {
-			raise(vax.VecMachineCheck, true)
-		}
-		m.ibufData[i] = b
+	v, err := m.Mem.Load32(pa)
+	if err != nil {
+		raise(vax.VecMachineCheck, true)
 	}
+	binary.LittleEndian.PutUint32(m.ibufData[:], v)
 	m.ibufAddr = aligned
 	m.ibufValid = true
 }

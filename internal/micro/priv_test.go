@@ -251,3 +251,34 @@ func TestMachineCheckOnDoubleFault(t *testing.T) {
 		t.Error("machine not halted after check")
 	}
 }
+
+// TestIFetchOutOfRangeMachineCheck: an instruction-buffer refill from a
+// physical address beyond RAM dispatches a machine check (and only after
+// the EvIFetch micro-event fired for the aligned longword).
+func TestIFetchOutOfRangeMachineCheck(t *testing.T) {
+	m, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const handler = 0x2000
+	m.SCBB = 0x400
+	m.Mem.Store32(m.SCBB+vax.VecMachineCheck, handler)
+	m.Mem.Store8(handler, 0x00) // halt
+	bad := m.Mem.Size() + 8
+	m.CPU.R[vax.PC] = bad + 2
+	m.CPU.R[vax.SP] = 0xF000
+	var got []Access
+	for _, ev := range []Event{EvIFetch, EvException} {
+		m.AddHook(ev, func(_ *Machine, a Access) { got = append(got, a) })
+	}
+	if _, err := m.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) < 2 || got[0].Ev != EvIFetch || got[0].VA != bad ||
+		got[1].Ev != EvException || got[1].Extra != vax.VecMachineCheck || got[1].VA != bad+2 {
+		t.Fatalf("events %+v: want ifetch of %#x, then a machine check at %#x", got, bad, bad+2)
+	}
+	if m.CPU.R[vax.PC] != handler+1 || !m.Halted() {
+		t.Errorf("PC %#x halted=%v: machine check did not reach its handler", m.CPU.R[vax.PC], m.Halted())
+	}
+}

@@ -487,11 +487,8 @@ func (m *Monitor) trace(args []string) {
 		// the watermark crossing is loss-free and the run resumes.
 		opts.Watermark = 1.0
 		opts.OnWatermark = func(c *atum.Collector) {
-			recs, _, err := c.ExtractSegment()
-			if err == nil {
-				m.captured = append(m.captured, recs...)
-				m.spills++
-			}
+			m.captured, _ = c.ExtractSegment(m.captured)
+			m.spills++
 		}
 		col, err := atum.Install(m.sys.M, opts)
 		if err != nil {
@@ -589,6 +586,7 @@ func (m *Monitor) status() {
 	mach := m.sys.M
 	tracing := "off"
 	if m.collector != nil {
+		m.collector.PublishMetrics()
 		tracing = fmt.Sprintf("on (%d buffered, %d dropped)",
 			m.collector.BufferedRecords(), m.collector.Dropped)
 	}

@@ -64,8 +64,8 @@ func decodeRawBatch(dst []Record, payload []byte) (nrec, consumed int) {
 	if n > len(dst) {
 		n = len(dst)
 	}
-	for i := 0; i < n; i++ {
-		dst[i] = DecodeRecord(payload[i*RecordBytes:])
+	for i := range dst[:n] {
+		dst[i].unpack(binary.LittleEndian.Uint64(payload[i*RecordBytes:]))
 	}
 	return n, n * RecordBytes
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // ErrEmpty reports a zero-length input: not a trace stream at all, as
@@ -95,34 +96,35 @@ func WriteFileMeta(w io.Writer, recs []Record, codec uint16, meta string) error 
 	if len(meta) > maxMetaLen {
 		return fmt.Errorf("trace: metadata too long (%d bytes)", len(meta))
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint16(hdr[0:], version)
-	binary.LittleEndian.PutUint16(hdr[2:], codec)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(len(recs)))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(meta)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(meta); err != nil {
-		return err
-	}
-	switch codec {
-	case CodecRaw:
-		if err := writeRaw(bw, recs); err != nil {
-			return err
-		}
-	case CodecDelta:
-		if err := writeDelta(bw, recs); err != nil {
-			return err
-		}
-	default:
+	if codec != CodecRaw && codec != CodecDelta {
 		return fmt.Errorf("trace: unknown codec %d", codec)
 	}
-	return bw.Flush()
+	buf := make([]byte, 0, 4096*maxEncRecordBytes)
+	buf = append(buf, magic[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, version)
+	buf = binary.LittleEndian.AppendUint16(buf, codec)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(recs)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(meta)))
+	buf = append(buf, meta...)
+	if _, err := w.Write(buf); err != nil {
+		return err
+	}
+	// Encode chunk by chunk into the one buffer, so the payload is never
+	// held whole in memory.
+	var st deltaState
+	for len(recs) > 0 {
+		n := min(len(recs), 4096)
+		if codec == CodecRaw {
+			buf = appendRaw(buf[:0], recs[:n])
+		} else {
+			buf = appendDelta(buf[:0], recs[:n], &st)
+		}
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		recs = recs[n:]
+	}
+	return nil
 }
 
 // Reader is the single read handle for trace streams: Open validates
@@ -576,71 +578,35 @@ func (d *Decoder) readStoredPayload(info SegmentInfo) (stored []byte, short bool
 	return buf, false, nil
 }
 
-// byteWriter is the sink the codec encoders write to; both bufio.Writer
-// and bytes.Buffer satisfy it.
-type byteWriter interface {
-	io.Writer
-	WriteByte(byte) error
-}
-
-func writeRaw(w byteWriter, recs []Record) error {
-	var b [RecordBytes]byte
+// appendRaw appends the raw-codec encoding of recs to dst.
+func appendRaw(dst []byte, recs []Record) []byte {
+	dst = slices.Grow(dst, len(recs)*RecordBytes)
 	for _, r := range recs {
-		r.Encode(b[:])
-		if _, err := w.Write(b[:]); err != nil {
-			return err
-		}
+		dst = binary.LittleEndian.AppendUint64(dst, r.Packed())
 	}
-	return nil
+	return dst
 }
 
 // Delta codec header byte: kind(3) | widthLog2(2) | user(1) | phys(1) |
 // pidChanged(1).
 const deltaPIDChanged = 1 << 7
 
-func writeDelta(w byteWriter, recs []Record) error {
-	var lastAddr [NumKinds]uint32
-	lastPID := uint8(0)
-	var buf [binary.MaxVarintLen64]byte
+// appendDelta appends the delta-codec encoding of recs to dst, carrying
+// the inter-record state in st so a stream can be encoded in chunks.
+func appendDelta(dst []byte, recs []Record, st *deltaState) []byte {
 	for _, r := range recs {
-		var wl byte
-		switch r.Width {
-		case 2:
-			wl = 1
-		case 4:
-			wl = 2
+		h := byte(r.header())
+		if r.PID != st.lastPID {
+			dst = append(dst, h|deltaPIDChanged, r.PID)
+			st.lastPID = r.PID
+		} else {
+			dst = append(dst, h)
 		}
-		h := byte(r.Kind)&7 | wl<<3
-		if r.User {
-			h |= flagUser
-		}
-		if r.Phys {
-			h |= flagPhys
-		}
-		if r.PID != lastPID {
-			h |= deltaPIDChanged
-		}
-		if err := w.WriteByte(h); err != nil {
-			return err
-		}
-		if r.PID != lastPID {
-			if err := w.WriteByte(r.PID); err != nil {
-				return err
-			}
-			lastPID = r.PID
-		}
-		delta := int64(r.Addr) - int64(lastAddr[r.Kind])
-		n := binary.PutVarint(buf[:], delta)
-		if _, err := w.Write(buf[:n]); err != nil {
-			return err
-		}
-		lastAddr[r.Kind] = r.Addr
+		dst = binary.AppendVarint(dst, int64(r.Addr)-int64(st.lastAddr[r.Kind]))
+		st.lastAddr[r.Kind] = r.Addr
 		if r.Kind == KindCtxSwitch || r.Kind == KindException {
-			n = binary.PutUvarint(buf[:], uint64(r.Extra))
-			if _, err := w.Write(buf[:n]); err != nil {
-				return err
-			}
+			dst = binary.AppendUvarint(dst, uint64(r.Extra))
 		}
 	}
-	return nil
+	return dst
 }

@@ -113,7 +113,7 @@ func FuzzCompressedSegmentRoundTrip(f *testing.F) {
 	f.Add(seed, uint8(5))
 	f.Fuzz(func(t *testing.T, b []byte, nseg uint8) {
 		b = b[:len(b)-len(b)%RecordBytes]
-		recs, err := ParseBuffer(b)
+		recs, err := ParseBuffer(nil, b)
 		if err != nil {
 			t.Fatalf("aligned buffer rejected: %v", err)
 		}
@@ -213,7 +213,7 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 	f.Add([]byte{0x05, 0x02, 0x07, 0x00, 0x00, 0x10, 0x00, 0x80}) // ctx switch, extra
 	f.Fuzz(func(t *testing.T, b []byte) {
 		b = b[:len(b)-len(b)%RecordBytes]
-		recs, err := ParseBuffer(b)
+		recs, err := ParseBuffer(nil, b)
 		if err != nil {
 			t.Fatalf("aligned buffer rejected: %v", err)
 		}
@@ -259,7 +259,7 @@ func FuzzParseBuffer(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		b = b[:len(b)-len(b)%RecordBytes]
-		recs, err := ParseBuffer(b)
+		recs, err := ParseBuffer(nil, b)
 		if err != nil {
 			t.Fatalf("aligned buffer rejected: %v", err)
 		}

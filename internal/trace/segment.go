@@ -100,10 +100,11 @@ type SegmentWriter struct {
 	codec   uint16
 	enc     uint8
 	next    uint32
-	seqOn   bool         // v3 stream: segments carry cpu/seq stamps
-	lastSeq uint64       // last stamp written (stamps must strictly increase)
-	pay     bytes.Buffer // per-segment encode buffer, reused
-	comp    bytes.Buffer // per-segment compression buffer, reused
+	seqOn   bool                       // v3 stream: segments carry cpu/seq stamps
+	lastSeq uint64                     // last stamp written (stamps must strictly increase)
+	pay     []byte                     // per-segment encode buffer, reused
+	comp    bytes.Buffer               // per-segment compression buffer, reused
+	hdr     [4 + segHeaderBytesV3]byte // header scratch (a local escapes into the sink)
 	closed  bool
 	err     error // first write error; sticky
 
@@ -222,18 +223,13 @@ func (sw *SegmentWriter) writeSegment(recs []Record, dropped, dilationCycles uin
 	// Encode to memory first: payLen must precede the payload, and a
 	// sink error mid-segment must not leave a half-written segment
 	// unaccounted for.
-	sw.pay.Reset()
-	var encErr error
-	switch sw.codec {
-	case CodecRaw:
-		encErr = writeRaw(&sw.pay, recs)
-	case CodecDelta:
-		encErr = writeDelta(&sw.pay, recs)
+	if sw.codec == CodecRaw {
+		sw.pay = appendRaw(sw.pay[:0], recs)
+	} else {
+		// Delta state resets at every segment: each decodes on its own.
+		sw.pay = appendDelta(sw.pay[:0], recs, &deltaState{})
 	}
-	if encErr != nil {
-		return SegmentInfo{}, encErr
-	}
-	raw := sw.pay.Bytes()
+	raw := sw.pay
 	enc := SegEncRaw
 	stored := raw
 	if sw.enc == SegEncFlate && len(raw) > 0 {
@@ -256,7 +252,7 @@ func (sw *SegmentWriter) writeSegment(recs []Record, dropped, dilationCycles uin
 		CPU:            cpu,
 		Seq:            seq,
 	}
-	var hdr [4 + segHeaderBytesV3]byte
+	hdr := &sw.hdr
 	copy(hdr[:4], segMarker[:])
 	binary.LittleEndian.PutUint32(hdr[4:], info.Index)
 	binary.LittleEndian.PutUint64(hdr[8:], info.Records)

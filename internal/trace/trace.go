@@ -7,6 +7,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Kind classifies a trace record.
@@ -88,60 +89,74 @@ const (
 	flagPhys = 1 << 6
 )
 
-// Encode packs the record into b (at least RecordBytes long).
-func (r Record) Encode(b []byte) {
-	var wl byte
+// Packed returns the record in its packed layout as one little-endian
+// word: the microcode's trace store writes it with a single 8-byte store.
+func (r Record) Packed() uint64 {
+	return r.header() | uint64(r.PID)<<8 | uint64(r.Extra)<<16 | uint64(r.Addr)<<32
+}
+
+// header is byte 0 of the packed layout, which the delta codec's header
+// byte shares: kind(3) | widthLog2(2) | user(1) | phys(1). It computes
+// in a full word: byte-wide arithmetic here made the raw encoder
+// measurably (about 2x) slower.
+func (r Record) header() uint64 {
+	var wl uint64
 	switch r.Width {
 	case 2:
 		wl = 1
 	case 4:
 		wl = 2
 	}
-	b0 := byte(r.Kind)&7 | wl<<3
+	h := uint64(r.Kind)&7 | wl<<3
 	if r.User {
-		b0 |= flagUser
+		h |= flagUser
 	}
 	if r.Phys {
-		b0 |= flagPhys
+		h |= flagPhys
 	}
-	b[0] = b0
-	b[1] = r.PID
-	binary.LittleEndian.PutUint16(b[2:], r.Extra)
-	binary.LittleEndian.PutUint32(b[4:], r.Addr)
+	return h
 }
+
+// Encode packs the record into b (at least RecordBytes long).
+func (r Record) Encode(b []byte) { binary.LittleEndian.PutUint64(b, r.Packed()) }
 
 // DecodeRecord unpacks one record from b. The packed width field cannot
 // represent 0, so marker kinds — which carry no reference width — decode
 // to Width 0 by fiat rather than a phantom 1-byte width.
 func DecodeRecord(b []byte) Record {
-	b0 := b[0]
-	k := Kind(b0 & 7)
-	var w uint8
-	if k.IsMemRef() {
-		w = 1 << (b0 >> 3 & 3)
+	var r Record
+	r.unpack(binary.LittleEndian.Uint64(b))
+	return r
+}
+
+// unpack sets r from its packed word. Batch decoders call it on the
+// destination slot itself: assembling a Record in a temporary and
+// copying it out costs a store-forwarding stall per record.
+func (r *Record) unpack(w uint64) {
+	b0 := byte(w)
+	r.Kind = Kind(b0 & 7)
+	r.Width = 0
+	if r.Kind.IsMemRef() {
+		r.Width = 1 << (b0 >> 3 & 3)
 	}
-	return Record{
-		Kind:  k,
-		Width: w,
-		User:  b0&flagUser != 0,
-		Phys:  b0&flagPhys != 0,
-		PID:   b[1],
-		Extra: binary.LittleEndian.Uint16(b[2:]),
-		Addr:  binary.LittleEndian.Uint32(b[4:]),
-	}
+	r.User = b0&flagUser != 0
+	r.Phys = b0&flagPhys != 0
+	r.PID = byte(w >> 8)
+	r.Extra = uint16(w >> 16)
+	r.Addr = uint32(w >> 32)
 }
 
 // ParseBuffer decodes the packed records in a raw trace-buffer image
-// (length must be a multiple of RecordBytes).
-func ParseBuffer(buf []byte) ([]Record, error) {
+// (length must be a multiple of RecordBytes) and appends them to dst,
+// so a caller that drains buffer after buffer can reuse one slice.
+func ParseBuffer(dst []Record, buf []byte) ([]Record, error) {
 	if len(buf)%RecordBytes != 0 {
-		return nil, fmt.Errorf("trace: buffer length %d not a record multiple", len(buf))
+		return dst, fmt.Errorf("trace: buffer length %d not a record multiple", len(buf))
 	}
-	out := make([]Record, 0, len(buf)/RecordBytes)
-	for i := 0; i < len(buf); i += RecordBytes {
-		out = append(out, DecodeRecord(buf[i:i+RecordBytes]))
-	}
-	return out, nil
+	n := len(dst)
+	dst = slices.Grow(dst, len(buf)/RecordBytes)[:n+len(buf)/RecordBytes]
+	decodeRawBatch(dst[n:], buf)
+	return dst, nil
 }
 
 // FilterUser returns only user-mode references — what a user-level

@@ -77,14 +77,20 @@ func TestParseBuffer(t *testing.T) {
 	for i, r := range recs {
 		r.Encode(buf[i*RecordBytes:])
 	}
-	got, err := ParseBuffer(buf)
+	got, err := ParseBuffer(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, recs) {
 		t.Fatalf("round trip mismatch: %v vs %v", got, recs)
 	}
-	if _, err := ParseBuffer(buf[:5]); err == nil {
+	// ParseBuffer appends: what dst already holds stays in front.
+	pre := []Record{{Kind: KindDRead, Addr: 0x10, Width: 1}}
+	want := append(append([]Record{}, pre...), recs...)
+	if got, err = ParseBuffer(pre, buf); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("append into dst: got %v (err %v), want %v", got, err, want)
+	}
+	if _, err := ParseBuffer(nil, buf[:5]); err == nil {
 		t.Error("odd-length buffer should error")
 	}
 }
