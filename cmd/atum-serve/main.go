@@ -21,8 +21,8 @@ import (
 	"flag"
 	"log"
 	"net/http"
-	"time"
 
+	"atum/internal/obs"
 	"atum/internal/serve"
 )
 
@@ -41,12 +41,6 @@ func main() {
 		Budget:          *budget,
 	})
 	log.Printf("atum-serve: listening on %s (API %s)", *addr, "v1")
-	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
+	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: obs.ReadHeaderTimeout}
 	log.Fatal(hs.ListenAndServe())
 }
-
-// readHeaderTimeout bounds how long a client may take to send its
-// request headers, so idle or trickling connections cannot pile up.
-// Bodies and responses are left unbounded: uploads and live segment
-// streams legitimately run long.
-const readHeaderTimeout = 10 * time.Second

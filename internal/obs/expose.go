@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"time"
 )
 
 // Exposition. Two formats over one registry walk:
@@ -114,6 +115,16 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
+// ReadHeaderTimeout bounds how long a client of the metrics server or
+// atum-serve may take to send its request headers, so idle or trickling
+// connections cannot pile up. Bodies and responses are left unbounded:
+// atum-serve's uploads and live segment streams legitimately run long.
+const ReadHeaderTimeout = 10 * time.Second
+
+// serveReadHeaderTimeout is the header timeout Serve applies; tests
+// shorten it.
+var serveReadHeaderTimeout = ReadHeaderTimeout
+
 // Serve starts an HTTP server exposing the registry at /metrics (text
 // or JSON by negotiation) and /debug/vars (always JSON, the expvar
 // path). It returns the bound address — addr may use port 0 — and a
@@ -130,7 +141,7 @@ func (r *Registry) Serve(addr string) (bound string, stop func() error, err erro
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		r.WriteJSON(w)
 	})
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: serveReadHeaderTimeout}
 	go srv.Serve(ln)
 	return ln.Addr().String(), srv.Close, nil
 }

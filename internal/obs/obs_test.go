@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestHistogramBucketBoundaries pins the bucket edge convention: bounds
@@ -191,5 +193,31 @@ func TestServe(t *testing.T) {
 	}
 	if body, ct := get("/debug/vars", ""); !strings.Contains(body, `"served_total": 9`) || !strings.HasPrefix(ct, "application/json") {
 		t.Errorf("/debug/vars: ct=%q body=%q", ct, body)
+	}
+}
+
+// TestServeClosesSilentConn: a client that connects and never sends a
+// request header is disconnected once the header timeout passes, so
+// idle connections cannot pile up on the metrics server.
+func TestServeClosesSilentConn(t *testing.T) {
+	defer func(d time.Duration) { serveReadHeaderTimeout = d }(serveReadHeaderTimeout)
+	serveReadHeaderTimeout = 100 * time.Millisecond
+	addr, stop, err := NewRegistry().Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := conn.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("silent connection still open 5s after a 100ms header timeout")
+	}
+	if n != 0 || err == nil {
+		t.Fatalf("read %d bytes, err %v; want the server to close the connection", n, err)
 	}
 }

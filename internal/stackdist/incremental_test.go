@@ -1,7 +1,7 @@
 package stackdist
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"atum/internal/trace"
@@ -28,22 +28,16 @@ func incBlocks(n int) []uint64 {
 	return blocks
 }
 
-// TestIncrementalMatchesAnalyze: the streaming analysis must produce a
-// profile identical to the batch Analyze over the same block stream.
-// A tiny Fenwick capacity forces many compactions, so the equivalence
-// covers the renumbering path, not just the append path.
+// TestIncrementalMatchesAnalyze: the engine must produce a profile
+// identical to the trace-length reference (referenceAnalyze) over the
+// same block stream. Tiny capacities force a compaction every few
+// references, so the equivalence covers the renumbering path, not just
+// the append path.
 func TestIncrementalMatchesAnalyze(t *testing.T) {
 	blocks := incBlocks(30_000)
-	want := Analyze(blocks)
-	for _, capacity := range []int{2, 64, 1 << 12, defaultIncCap} {
-		inc := newIncremental(capacity)
-		for _, b := range blocks {
-			inc.Add(b)
-		}
-		if got := inc.Profile(); !reflect.DeepEqual(got, want) {
-			t.Errorf("capacity=%d: incremental profile differs from Analyze (total=%d/%d cold=%d/%d maxdepth=%d/%d)",
-				capacity, got.Total, want.Total, got.Cold, want.Cold, got.MaxDepth(), want.MaxDepth())
-		}
+	want := referenceAnalyze(blocks)
+	for _, capacity := range testCaps {
+		sameProfile(t, fmt.Sprintf("capacity=%d", capacity), analyzeAt(blocks, capacity), want)
 	}
 }
 
@@ -51,27 +45,23 @@ func TestIncrementalMatchesAnalyze(t *testing.T) {
 // chunks must not matter — only the concatenated order does.
 func TestIncrementalChunkingInvariance(t *testing.T) {
 	blocks := incBlocks(10_000)
-	want := Analyze(blocks)
-	for _, chunk := range []int{1, 7, 1024} {
-		inc := newIncremental(128)
-		for off := 0; off < len(blocks); off += chunk {
-			end := off + chunk
-			if end > len(blocks) {
-				end = len(blocks)
+	want := referenceAnalyze(blocks)
+	for _, capacity := range testCaps {
+		for _, chunk := range []int{1, 7, 1024} {
+			inc := newIncremental(capacity)
+			for off := 0; off < len(blocks); off += chunk {
+				for _, b := range blocks[off:min(off+chunk, len(blocks))] {
+					inc.Add(b)
+				}
 			}
-			for _, b := range blocks[off:end] {
-				inc.Add(b)
-			}
-		}
-		if !reflect.DeepEqual(inc.Profile(), want) {
-			t.Errorf("chunk=%d: profile differs from Analyze", chunk)
+			sameProfile(t, fmt.Sprintf("capacity=%d chunk=%d", capacity, chunk), inc.Profile(), want)
 		}
 	}
 }
 
-// TestStreamMatchesFromSource: the record-fed Stream must equal the
-// batch FromSource over the same records, for the option combinations
-// the experiments use.
+// TestStreamMatchesFromSource: the record-fed Stream at every test
+// capacity, and FromSource, must equal the reference over the same
+// records, for the option combinations the experiments use.
 func TestStreamMatchesFromSource(t *testing.T) {
 	recs := make([]trace.Record, 0, 20_000)
 	seed := uint32(0xB5297A4D)
@@ -108,23 +98,42 @@ func TestStreamMatchesFromSource(t *testing.T) {
 		{BlockBytes: 64, PIDTag: false, IncludePTE: false},
 		{BlockBytes: 16, PIDTag: true, UserOnly: true},
 	} {
-		want := FromSource(trace.NewArena(recs), opts)
-		s := NewStream(opts)
-		for off := 0; off < len(recs); off += 777 {
-			end := off + 777
-			if end > len(recs) {
-				end = len(recs)
+		want := referenceAnalyze(blocksOf(recs, opts))
+		sameProfile(t, fmt.Sprintf("FromSource opts=%+v", opts), FromSource(trace.NewArena(recs), opts), want)
+		for _, capacity := range testCaps {
+			s := &Stream{inc: newIncremental(capacity), bm: newBlockMapper(opts)}
+			for off := 0; off < len(recs); off += 777 {
+				if err := s.Feed(recs[off:min(off+777, len(recs))]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := s.Feed(recs[off:end]); err != nil {
+			got, err := s.Result()
+			if err != nil {
 				t.Fatal(err)
 			}
+			sameProfile(t, fmt.Sprintf("Stream capacity=%d opts=%+v", capacity, opts), got, want)
 		}
-		got, err := s.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("opts=%+v: streamed profile differs from FromSource", opts)
-		}
+	}
+}
+
+// TestStreamFeedAllocs: once every block of a chunk is live, feeding it
+// again allocates nothing — the block table is probed in place and
+// compaction reuses its arrays while the live count holds. A small
+// capacity puts at least two compactions inside every measured Feed
+// (1500 live blocks, headroom 64: one per 1564 of the 4096 references).
+func TestStreamFeedAllocs(t *testing.T) {
+	chunk := make([]trace.Record, 4096)
+	for i := range chunk {
+		chunk[i] = trace.Record{Kind: trace.KindDRead, PID: 1, Width: 4, User: true, Addr: uint32(i*7919%1500) * 16}
+	}
+	opts := Options{BlockBytes: 16, PIDTag: true}
+	s := &Stream{inc: newIncremental(64), bm: newBlockMapper(opts)}
+	// Warm past the first compaction, which sizes the arrays to the live
+	// count, until every block is live and every depth bucket present.
+	for i := 0; i < 3; i++ {
+		s.Feed(chunk)
+	}
+	if n := testing.AllocsPerRun(20, func() { s.Feed(chunk) }); n != 0 {
+		t.Errorf("warm Feed allocated %.1f times per chunk, want 0", n)
 	}
 }

@@ -5,15 +5,15 @@
 // configuration analysis was the era's standard technique for exactly
 // the kind of size sweeps the paper's figures show.
 //
-// The implementation uses the classic time-stamp reformulation: the
-// stack distance of a reference equals the number of distinct blocks
-// referenced since this block's previous reference, which a Fenwick tree
-// over reference time counts in O(log n) per reference.
+// It uses the time-stamp reformulation (Bennett & Kruskal): the stack
+// distance of a reference is the number of distinct blocks referenced
+// since this block's previous reference, which a Fenwick tree of each
+// block's latest reference time counts in O(log n). One compacting
+// engine, Incremental, serves the record-fed Stream and the batch entry
+// points alike, in memory O(distinct blocks) however long the trace.
 package stackdist
 
-import (
-	"atum/internal/trace"
-)
+import "atum/internal/trace"
 
 // Profile is the stack-distance histogram of a reference stream.
 type Profile struct {
@@ -24,63 +24,6 @@ type Profile struct {
 	Cold uint64
 	// Total is the number of references analysed.
 	Total uint64
-}
-
-// fenwick is a binary indexed tree of counts over 1..n.
-type fenwick struct {
-	tree []uint64
-}
-
-func newFenwick(n int) *fenwick { return &fenwick{tree: make([]uint64, n+1)} }
-
-func (f *fenwick) add(i int, d uint64) {
-	for ; i < len(f.tree); i += i & (-i) {
-		f.tree[i] += d
-	}
-}
-
-func (f *fenwick) sum(i int) uint64 {
-	var s uint64
-	for ; i > 0; i -= i & (-i) {
-		s += f.tree[i]
-	}
-	return s
-}
-
-// Analyze computes the profile of a block-address stream.
-func Analyze(blocks []uint64) *Profile {
-	p := &Profile{}
-	// Presized proportionally to the stream: real streams reuse blocks
-	// heavily, so a quarter of the references is a generous bound on the
-	// distinct-block count and spares the map most of its incremental
-	// rehashes (which dominated Analyze on long traces).
-	size := len(blocks) / 4
-	if size < 1024 {
-		size = 1024
-	}
-	last := make(map[uint64]int, size)
-	fw := newFenwick(len(blocks))
-	marked := 0 // live marks in the tree == current distinct-block count
-
-	for t, b := range blocks {
-		p.Total++
-		t1 := t + 1 // Fenwick is 1-based
-		if t0, seen := last[b]; seen {
-			// Distance = distinct blocks referenced in (t0, t) plus one
-			// (this block itself sits below them on the stack).
-			depth := int(fw.sum(t1-1) - fw.sum(t0))
-			p.observe(depth + 1)
-			fw.add(t0, ^uint64(0)) // remove the old mark (add -1)
-			marked--
-		} else {
-			p.Cold++
-		}
-		last[b] = t1
-		fw.add(t1, 1)
-		marked++
-	}
-	_ = marked
-	return p
 }
 
 func (p *Profile) observe(depth int) {
@@ -130,9 +73,8 @@ type Options struct {
 	UserOnly   bool   // drop kernel references
 }
 
-// blockMapper is the record-to-block conversion both the batch path
-// (BlocksSource) and the streaming path (Stream) share, so the two
-// cannot drift.
+// blockMapper is the record-to-block conversion Stream applies to each
+// record.
 type blockMapper struct {
 	opts  Options
 	shift uint
@@ -171,33 +113,15 @@ func (m blockMapper) block(r trace.Record) (uint64, bool) {
 	return b, true
 }
 
-// Blocks converts a trace into the block-address stream Analyze expects.
-func Blocks(recs []trace.Record, opts Options) []uint64 {
-	return BlocksSource(trace.Records(recs), opts)
-}
-
-// BlocksSource is Blocks over any record source, built in one streaming
-// pass.
-func BlocksSource(src trace.Source, opts Options) []uint64 {
-	m := newBlockMapper(opts)
-	out := make([]uint64, 0, src.NumRecords())
-	_ = src.EachChunk(func(chunk []trace.Record) error {
-		for _, r := range chunk {
-			if b, ok := m.block(r); ok {
-				out = append(out, b)
-			}
-		}
-		return nil
-	})
-	return out
-}
-
-// FromTrace is the convenience composition of Blocks and Analyze.
+// FromTrace is FromSource over an in-memory record slice.
 func FromTrace(recs []trace.Record, opts Options) *Profile {
-	return Analyze(Blocks(recs, opts))
+	return FromSource(trace.Records(recs), opts)
 }
 
-// FromSource is FromTrace over any record source.
+// FromSource feeds every chunk of src to one Stream and returns its
+// profile: the batch analysis is the streaming engine run to the end.
 func FromSource(src trace.Source, opts Options) *Profile {
-	return Analyze(BlocksSource(src, opts))
+	s := NewStream(opts)
+	_ = src.EachChunk(s.Feed) // Feed never fails; a source error ends the stream
+	return s.inc.Profile()
 }

@@ -12,7 +12,7 @@ import (
 func TestSimpleDistances(t *testing.T) {
 	// Stream: A B A C B A — distances: A cold, B cold, A=2, C cold,
 	// B=3 (C,A above it), A=3 (B,C above it).
-	p := Analyze([]uint64{1, 2, 1, 3, 2, 1})
+	p := analyze([]uint64{1, 2, 1, 3, 2, 1})
 	if p.Cold != 3 {
 		t.Errorf("cold = %d, want 3", p.Cold)
 	}
@@ -38,7 +38,7 @@ func TestSimpleDistances(t *testing.T) {
 
 func TestRepeatedSingleBlock(t *testing.T) {
 	stream := make([]uint64, 100)
-	p := Analyze(stream)
+	p := analyze(stream)
 	if p.Cold != 1 || p.Depths[0] != 99 {
 		t.Errorf("cold=%d depths=%v", p.Cold, p.Depths)
 	}
@@ -55,7 +55,7 @@ func TestLoopPattern(t *testing.T) {
 	for i := 0; i < 10*N; i++ {
 		stream = append(stream, uint64(i%N))
 	}
-	p := Analyze(stream)
+	p := analyze(stream)
 	if got := p.Misses(N); got != N {
 		t.Errorf("misses(N) = %d, want %d (cold only)", got, N)
 	}
@@ -71,7 +71,7 @@ func TestMonotonicity(t *testing.T) {
 		for i := range stream {
 			stream[i] = uint64(r.Intn(200))
 		}
-		p := Analyze(stream)
+		p := analyze(stream)
 		prev := uint64(1 << 62)
 		for c := 1; c <= 256; c *= 2 {
 			m := p.Misses(c)
@@ -136,24 +136,24 @@ func TestBlocksFiltering(t *testing.T) {
 		{Kind: trace.KindCtxSwitch, Extra: 2, Width: 1},
 		{Kind: trace.KindDRead, Addr: 0x200, Width: 4, User: true, PID: 2},
 	}
-	all := Blocks(recs, Options{BlockBytes: 16, PIDTag: true, IncludePTE: true})
+	all := blocksOf(recs, Options{BlockBytes: 16, PIDTag: true, IncludePTE: true})
 	if len(all) != 4 {
 		t.Errorf("blocks = %d, want 4", len(all))
 	}
-	user := Blocks(recs, Options{BlockBytes: 16, UserOnly: true})
+	user := blocksOf(recs, Options{BlockBytes: 16, UserOnly: true})
 	if len(user) != 2 {
 		t.Errorf("user blocks = %d, want 2", len(user))
 	}
 	// PID tagging separates the same VA across processes.
-	tagged := Blocks(recs[0:1], Options{BlockBytes: 16, PIDTag: true})
-	tagged2 := Blocks(recs[4:5], Options{BlockBytes: 16, PIDTag: true})
+	tagged := blocksOf(recs[0:1], Options{BlockBytes: 16, PIDTag: true})
+	tagged2 := blocksOf(recs[4:5], Options{BlockBytes: 16, PIDTag: true})
 	if tagged[0] == tagged2[0] {
 		t.Error("PID tag did not separate address spaces")
 	}
 	// System addresses are shared regardless of PID.
-	sysA := Blocks([]trace.Record{{Kind: trace.KindDRead, Addr: 0x80000200, Width: 4, PID: 1}},
+	sysA := blocksOf([]trace.Record{{Kind: trace.KindDRead, Addr: 0x80000200, Width: 4, PID: 1}},
 		Options{BlockBytes: 16, PIDTag: true})
-	sysB := Blocks([]trace.Record{{Kind: trace.KindDRead, Addr: 0x80000200, Width: 4, PID: 2}},
+	sysB := blocksOf([]trace.Record{{Kind: trace.KindDRead, Addr: 0x80000200, Width: 4, PID: 2}},
 		Options{BlockBytes: 16, PIDTag: true})
 	if sysA[0] != sysB[0] {
 		t.Error("system space wrongly PID-tagged")
@@ -161,7 +161,7 @@ func TestBlocksFiltering(t *testing.T) {
 }
 
 func TestEmpty(t *testing.T) {
-	p := Analyze(nil)
+	p := analyze(nil)
 	if p.MissRate(16) != 0 || p.Total != 0 {
 		t.Error("empty stream not handled")
 	}
